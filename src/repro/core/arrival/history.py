@@ -53,20 +53,54 @@ class TravelTimeStore:
     Supports the two access patterns of the predictor: historical
     aggregation filtered by route and time-slot, and "who traversed this
     segment most recently" queries.
+
+    Each segment keeps its records twice, by reference: in entry order
+    (what aggregation, ``records``, ``filtered`` and checkpoints read, so
+    float sums and serialised bytes follow one fixed order) and in exit
+    order, the index :meth:`recent` walks backward from ``now``.
     """
 
     def __init__(self, records: Iterable[TravelTimeRecord] = ()) -> None:
         self._by_segment: dict[str, list[TravelTimeRecord]] = {}
         self._entry_times: dict[str, list[float]] = {}
+        # Exit-ordered index: (t_exit asc, t_enter desc, newest add first),
+        # so a backward walk yields exactly the order of a stable sort of
+        # the entry-ordered list by descending exit time.
+        self._by_exit: dict[str, list[TravelTimeRecord]] = {}
+        self._exit_times: dict[str, list[float]] = {}
+        self._routes: dict[str, set[str]] = {}
+        #: Bumped by every :meth:`add`; lets a reader that memoises
+        #: aggregates over this store tell that it changed.
+        self.revision = 0
+        #: Index entries :meth:`recent` has examined — a machine-independent
+        #: work counter, not state.
+        self.index_visits = 0
         for r in records:
             self.add(r)
 
     def add(self, record: TravelTimeRecord) -> None:
-        lst = self._by_segment.setdefault(record.segment_id, [])
-        times = self._entry_times.setdefault(record.segment_id, [])
+        sid = record.segment_id
+        lst = self._by_segment.setdefault(sid, [])
+        times = self._entry_times.setdefault(sid, [])
         i = bisect.bisect_right(times, record.t_enter)
         lst.insert(i, record)
         times.insert(i, record.t_enter)
+        by_exit = self._by_exit.setdefault(sid, [])
+        exits = self._exit_times.setdefault(sid, [])
+        # Among equal exit times the index runs t_enter descending and,
+        # within equal t_enter, newest first: the new record goes before
+        # every tie that entered no later than it did.
+        j = bisect.bisect_right(exits, record.t_exit)
+        while (
+            j > 0
+            and exits[j - 1] == record.t_exit
+            and by_exit[j - 1].t_enter <= record.t_enter
+        ):
+            j -= 1
+        by_exit.insert(j, record)
+        exits.insert(j, record.t_exit)
+        self._routes.setdefault(sid, set()).add(record.route_id)
+        self.revision += 1
 
     def add_many(self, records: Iterable[TravelTimeRecord]) -> None:
         for r in records:
@@ -83,7 +117,7 @@ class TravelTimeStore:
         return list(self._by_segment.get(segment_id, ()))
 
     def routes_on(self, segment_id: str) -> set[str]:
-        return {r.route_id for r in self._by_segment.get(segment_id, ())}
+        return set(self._routes.get(segment_id, ()))
 
     def mean_travel_time(
         self,
@@ -122,31 +156,49 @@ class TravelTimeStore:
         ``window_s`` count — the "J buses of K' routes most recently
         passing by" of Section IV.  With ``per_route_latest`` each route
         contributes only its most recent traversal (the freshest evidence
-        per route); the result is newest-first.
+        per route).  The result is newest-first: ``t_exit`` descending,
+        then ``t_enter`` ascending, then insertion order.
+
+        Walks the exit-ordered index backward from ``now`` and stops at
+        ``max_count``, at the window floor, or — per route — once every
+        route on the segment has been seen, so the cost is bounded by the
+        routes on the segment rather than the records in the window.
         """
-        lst = self._by_segment.get(segment_id, [])
-        times = self._entry_times.get(segment_id, [])
-        # Entry times are sorted; a record with t_enter > now cannot have
-        # finished, and one entering long before the window cannot have
-        # finished inside it (bounded by a generous max traversal time).
-        hi = bisect.bisect_right(times, now)
-        lo = bisect.bisect_left(times, now - window_s - _MAX_TRAVERSAL_S)
+        if max_count is not None and max_count < 1:
+            # Keep slice semantics: 0 gives [], -1 drops the oldest.
+            return self.recent(
+                segment_id,
+                now=now,
+                window_s=window_s,
+                per_route_latest=per_route_latest,
+            )[:max_count]
+        exits = self._exit_times.get(segment_id)
+        if not exits:
+            return []
+        by_exit = self._by_exit[segment_id]
+        all_routes = len(self._routes[segment_id])
+        oldest_exit = now - window_s
+        # A record entering long before the window cannot have finished
+        # inside it (bounded by a generous max traversal time).
+        oldest_enter = now - window_s - _MAX_TRAVERSAL_S
         out: list[TravelTimeRecord] = []
-        for r in lst[lo:hi]:
-            if r.t_exit > now or r.t_exit < now - window_s:
+        seen: set[str] = set()
+        start = i = bisect.bisect_right(exits, now)
+        while i > 0:
+            i -= 1
+            r = by_exit[i]
+            if r.t_exit < oldest_exit:
+                break
+            if r.t_enter < oldest_enter:
                 continue
+            if per_route_latest:
+                if r.route_id in seen:
+                    continue
+                seen.add(r.route_id)
             out.append(r)
-        out.sort(key=lambda r: -r.t_exit)
-        if per_route_latest:
-            seen: set[str] = set()
-            dedup = []
-            for r in out:
-                if r.route_id not in seen:
-                    seen.add(r.route_id)
-                    dedup.append(r)
-            out = dedup
-        if max_count is not None:
-            out = out[:max_count]
+            if len(out) == max_count or len(seen) == all_routes:
+                break
+        self.index_visits += start - i
         return out
 
     def filtered(

@@ -17,6 +17,7 @@ crosses a slot boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.core.arrival.history import TravelTimeRecord, TravelTimeStore
 from repro.core.arrival.seasonal import SlotScheme, slot_filter
@@ -86,7 +87,13 @@ class ArrivalTimePredictor:
         self.use_recent = use_recent
         self.route_residual_scale = dict(route_residual_scale or {})
         self.live = TravelTimeStore()
-        self._mean_cache: dict[tuple[str, str | None, int | None], float | None] = {}
+        # Resolved ``Th`` per (segment, route, slot), valid for one
+        # revision of one history store: a model install builds a new
+        # predictor, and an elastic prune or handoff that replaces or
+        # extends ``history`` in place empties it on the next lookup.
+        self._th_memo: dict[tuple[str, str, int], float | None] = {}
+        self._th_store = history
+        self._th_revision = history.revision
 
     # -- live feed ----------------------------------------------------------
 
@@ -94,24 +101,11 @@ class ArrivalTimePredictor:
         """Feed one freshly-extracted traversal (online phase)."""
         self.live.add(record)
 
-    def observe_many(self, records) -> None:
+    def observe_many(self, records: Iterable[TravelTimeRecord]) -> None:
         for r in records:
             self.observe(r)
 
     # -- Eq. 8 ----------------------------------------------------------------
-
-    def _historical_mean(
-        self, segment_id: str, route_id: str | None, slot_index: int | None
-    ) -> float | None:
-        key = (segment_id, route_id, slot_index)
-        if key in self._mean_cache:
-            return self._mean_cache[key]
-        accept = slot_filter(self.slots, slot_index) if slot_index is not None else None
-        value = self.history.mean_travel_time(
-            segment_id, route_id=route_id, accept=accept
-        )
-        self._mean_cache[key] = value
-        return value
 
     def historical_time(
         self, segment_id: str, route_id: str, t: float
@@ -121,17 +115,38 @@ class ArrivalTimePredictor:
         Preference order: (route, slot) -> (route, any slot) ->
         (any route, slot) -> (any route, any slot) -> None.
         """
-        slot = self.slots.slot_of(t)
-        for rid, sl in (
-            (route_id, slot),
-            (route_id, None),
-            (None, slot),
-            (None, None),
+        history = self.history
+        if (
+            history is not self._th_store
+            or history.revision != self._th_revision
         ):
-            value = self._historical_mean(segment_id, rid, sl)
+            self._th_memo = {}
+            self._th_store = history
+            self._th_revision = history.revision
+        slot = self.slots.slot_of(t)
+        key = (segment_id, route_id, slot)
+        try:
+            return self._th_memo[key]
+        except KeyError:
+            pass
+        in_slot = slot_filter(self.slots, slot)
+        fallbacks: tuple[
+            tuple[str | None, Callable[[TravelTimeRecord], bool] | None], ...
+        ] = (
+            (route_id, in_slot),
+            (route_id, None),
+            (None, in_slot),
+            (None, None),
+        )
+        value: float | None = None
+        for rid, accept in fallbacks:
+            value = history.mean_travel_time(
+                segment_id, route_id=rid, accept=accept
+            )
             if value is not None:
-                return value
-        return None
+                break
+        self._th_memo[key] = value
+        return value
 
     def residual_correction(
         self, segment_id: str, t: float, *, for_route_id: str | None = None

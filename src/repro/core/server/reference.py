@@ -5,7 +5,9 @@ These functions replicate, line for line, how the seed ``RiderAPI`` and
 :class:`~repro.roadnet.index.RouteIndex` fast path landed: linear scans
 over ``routes x stops`` for stop resolution, a full walk over every
 session ever opened for activity checks, and per-call
-``stop_arc_length`` recomputation.
+``stop_arc_length`` recomputation.  :func:`linear_recent` is the seed's
+Eq. 8 recency query from before the exit-ordered index: filter the entry
+window, stable-sort it by exit time, then deduplicate per route.
 
 They exist for two reasons:
 
@@ -14,15 +16,22 @@ They exist for two reasons:
 * **perf benchmarks** compare route/stop-traversal counts: every route,
   stop and session these functions examine increments a
   :class:`TraversalCounter`, and the indexed path counts the same units
-  in the ``query.traversals`` server metric.
+  in the ``query.traversals`` server metric (travel-time records against
+  :attr:`TravelTimeStore.index_visits`).
 
 Never call these from production paths.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
+from repro.core.arrival.history import (
+    _MAX_TRAVERSAL_S,
+    TravelTimeRecord,
+    TravelTimeStore,
+)
 from repro.core.server.api import DepartureEntry, TripOption
 from repro.core.server.server import WiLocatorServer
 from repro.core.server.session import BusSession
@@ -37,10 +46,11 @@ class TraversalCounter:
     routes: int = 0
     stops: int = 0
     sessions: int = 0
+    records: int = 0
 
     @property
     def total(self) -> int:
-        return self.routes + self.stops + self.sessions
+        return self.routes + self.stops + self.sessions + self.records
 
 
 def linear_stops_named(
@@ -195,4 +205,43 @@ def linear_live_positions(
             out[session.session_key] = last.as_geo(projection)
         else:
             out[session.session_key] = (last.point.x, last.point.y)
+    return out
+
+
+def linear_recent(
+    store: TravelTimeStore,
+    segment_id: str,
+    *,
+    now: float,
+    window_s: float,
+    max_count: int | None = None,
+    per_route_latest: bool = True,
+    counter: TraversalCounter | None = None,
+) -> list[TravelTimeRecord]:
+    """Seed ``TravelTimeStore.recent``: filter, stable sort, dedup."""
+    counter = counter if counter is not None else TraversalCounter()
+    lst = store.records(segment_id)
+    times = [r.t_enter for r in lst]
+    # Entry times are sorted; a record with t_enter > now cannot have
+    # finished, and one entering long before the window cannot have
+    # finished inside it (bounded by a generous max traversal time).
+    hi = bisect.bisect_right(times, now)
+    lo = bisect.bisect_left(times, now - window_s - _MAX_TRAVERSAL_S)
+    counter.records += max(hi - lo, 0)
+    out: list[TravelTimeRecord] = []
+    for r in lst[lo:hi]:
+        if r.t_exit > now or r.t_exit < now - window_s:
+            continue
+        out.append(r)
+    out.sort(key=lambda r: -r.t_exit)
+    if per_route_latest:
+        seen: set[str] = set()
+        dedup = []
+        for r in out:
+            if r.route_id not in seen:
+                seen.add(r.route_id)
+                dedup.append(r)
+        out = dedup
+    if max_count is not None:
+        out = out[:max_count]
     return out

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.svd.rank import (
+from repro.sensing.rank import (
     full_ranking_from_readings,
     has_rank_tie,
     rank_agreement,
